@@ -8,7 +8,7 @@ use std::time::Instant;
 
 use ajanta_core::{Credentials, CredentialsBuilder, Rights};
 use ajanta_crypto::cert::Certificate;
-use ajanta_crypto::{DetRng, KeyPair, RootOfTrust};
+use ajanta_crypto::{sig, DetRng, KeyPair, RootOfTrust};
 use ajanta_naming::Urn;
 
 /// One operation's cost.
@@ -18,6 +18,8 @@ pub struct CredentialRow {
     pub op: &'static str,
     /// Mean cost, ns.
     pub ns: f64,
+    /// Signature checks per operation (certificate chains included).
+    pub checks: u64,
 }
 
 struct Fixture {
@@ -83,29 +85,35 @@ fn mint(fx: &mut Fixture, i: u64) -> Credentials {
     .sign(&fx.owner_keys, &mut fx.rng)
 }
 
+/// Runs `op` `iters` times: (mean ns, signature checks per call).
+fn measure(iters: u64, mut op: impl FnMut(u64)) -> (f64, u64) {
+    let checks = sig::checks_on_this_thread();
+    let start = Instant::now();
+    for i in 0..iters {
+        op(i);
+    }
+    let ns = start.elapsed().as_nanos() as f64 / iters as f64;
+    (ns, (sig::checks_on_this_thread() - checks) / iters)
+}
+
 /// Measures each operation `iters` times.
 pub fn run(iters: u64) -> Vec<CredentialRow> {
     let mut fx = fixture();
 
-    let start = Instant::now();
-    for i in 0..iters {
+    let mint_cost = measure(iters, |i| {
         std::hint::black_box(mint(&mut fx, i));
-    }
-    let mint_ns = start.elapsed().as_nanos() as f64 / iters as f64;
+    });
 
     let creds = mint(&mut fx, u64::MAX);
-    let start = Instant::now();
-    for _ in 0..iters {
+    let verify_cost = measure(iters, |_| {
         std::hint::black_box(creds.verify(&fx.roots, 0).unwrap());
-    }
-    let verify_ns = start.elapsed().as_nanos() as f64 / iters as f64;
+    });
 
     let restriction = Rights::none().grant_method(
         Urn::resource("stores.org", ["catalog", "books"]).unwrap(),
         "query",
     );
-    let start = Instant::now();
-    for _ in 0..iters {
+    let endorse_cost = measure(iters, |_| {
         std::hint::black_box(creds.endorse(
             &fx.server,
             &fx.server_keys,
@@ -113,8 +121,7 @@ pub fn run(iters: u64) -> Vec<CredentialRow> {
             restriction.clone(),
             &mut fx.rng,
         ));
-    }
-    let endorse_ns = start.elapsed().as_nanos() as f64 / iters as f64;
+    });
 
     let endorsed = creds.endorse(
         &fx.server,
@@ -123,30 +130,19 @@ pub fn run(iters: u64) -> Vec<CredentialRow> {
         restriction,
         &mut fx.rng,
     );
-    let start = Instant::now();
-    for _ in 0..iters {
+    let verify_endorsed_cost = measure(iters, |_| {
         std::hint::black_box(endorsed.verify(&fx.roots, 0).unwrap());
-    }
-    let verify_endorsed_ns = start.elapsed().as_nanos() as f64 / iters as f64;
+    });
 
-    vec![
-        CredentialRow {
-            op: "mint (sign)",
-            ns: mint_ns,
-        },
-        CredentialRow {
-            op: "verify (chain + signature)",
-            ns: verify_ns,
-        },
-        CredentialRow {
-            op: "endorse (forwarding restriction)",
-            ns: endorse_ns,
-        },
-        CredentialRow {
-            op: "verify with one endorsement",
-            ns: verify_endorsed_ns,
-        },
+    [
+        ("mint (sign)", mint_cost),
+        ("verify (chain + signature)", verify_cost),
+        ("endorse (forwarding restriction)", endorse_cost),
+        ("verify with one endorsement", verify_endorsed_cost),
     ]
+    .into_iter()
+    .map(|(op, (ns, checks))| CredentialRow { op, ns, checks })
+    .collect()
 }
 
 /// Renders the table.
@@ -154,11 +150,11 @@ pub fn table(iters: u64) -> String {
     let rows = run(iters);
     let rendered: Vec<Vec<String>> = rows
         .iter()
-        .map(|r| vec![r.op.to_string(), crate::fmt_ns(r.ns)])
+        .map(|r| vec![r.op.to_string(), crate::fmt_ns(r.ns), r.checks.to_string()])
         .collect();
     crate::render_table(
         &format!("X14 — credential operations ({iters} iterations)"),
-        &["operation", "mean cost"],
+        &["operation", "mean cost", "signature checks"],
         &rendered,
     )
 }
@@ -169,9 +165,10 @@ mod tests {
 
     #[test]
     fn endorsed_verification_costs_more() {
-        let rows = run(100);
-        let verify = rows[1].ns;
-        let verify_endorsed = rows[3].ns;
-        assert!(verify_endorsed > verify, "{verify_endorsed} vs {verify}");
+        // Counted, not timed: the endorsement adds its certificate chain
+        // and its layer signature to the owner's chain and signature.
+        let rows = run(10);
+        let checks: Vec<u64> = rows.iter().map(|r| r.checks).collect();
+        assert_eq!(checks, [0, 2, 0, 4], "signature checks per operation");
     }
 }

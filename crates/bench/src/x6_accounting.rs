@@ -3,12 +3,13 @@
 //! The claim: metering "can be done either by counting the invocations of
 //! each method, possibly assigning different costs to different methods,
 //! or by metering the elapsed time". This measures what each mode adds to
-//! a proxy call.
+//! a proxy call, and what journaling each charge adds on a server, where
+//! every bound proxy has the server's journal attached.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use ajanta_core::{AccessProtocol, Guarded, MeterMode, ProxyPolicy};
+use ajanta_core::{AccessProtocol, Guarded, Journal, MeterMode, ProxyPolicy};
 use ajanta_workloads::records::RecordSpec;
 
 use crate::fixtures;
@@ -30,14 +31,19 @@ pub fn run(calls: u64) -> Vec<AccountingRow> {
         count: 16,
         ..Default::default()
     };
-    let modes: [(&'static str, MeterMode); 3] = [
-        ("off", MeterMode::Off),
-        ("count + tariffs", MeterMode::Count),
-        ("count + elapsed time", MeterMode::CountAndTime),
+    let modes: [(&'static str, MeterMode, bool); 4] = [
+        ("off", MeterMode::Off, false),
+        ("count + tariffs", MeterMode::Count, false),
+        ("count + elapsed time", MeterMode::CountAndTime, false),
+        (
+            "count + elapsed time, journaled",
+            MeterMode::CountAndTime,
+            true,
+        ),
     ];
     modes
         .iter()
-        .map(|(name, mode)| {
+        .map(|(name, mode, journaled)| {
             let resource = Guarded::new(
                 fixtures::store(&spec),
                 ProxyPolicy {
@@ -49,6 +55,12 @@ pub fn run(calls: u64) -> Vec<AccountingRow> {
             );
             let rq = fixtures::requester();
             let proxy = Arc::clone(&resource).get_proxy(&rq, 0).unwrap();
+            if *journaled {
+                let name = proxy.resource_name().clone();
+                proxy
+                    .control()
+                    .attach_journal(Arc::new(Journal::new()), name);
+            }
             // Warm-up.
             for _ in 0..100 {
                 proxy.invoke(rq.domain, "count", &[], 0).unwrap();
@@ -99,6 +111,7 @@ mod tests {
                                        // count mode: warm-up (100) + calls (1000), tariff 3 each.
         assert_eq!(rows[1].charge, 3 * 1_100);
         assert_eq!(rows[2].charge, 3 * 1_100);
+        assert_eq!(rows[3].charge, 3 * 1_100); // journaling charges nothing
     }
 
     #[test]

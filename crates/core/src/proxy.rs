@@ -461,7 +461,9 @@ impl ProxyControl {
             self.enabled_spill.read().contains(&id)
         };
         if !enabled {
-            return Err(AccessError::MethodDisabled(self.method_label(method)));
+            return Err(AccessError::MethodDisabled(
+                self.method_label(method).to_string(),
+            ));
         }
         Ok(())
     }
@@ -531,11 +533,11 @@ impl ProxyControl {
         }
     }
 
-    fn method_label(&self, id: MethodId) -> String {
+    fn method_label(&self, id: MethodId) -> Arc<str> {
         self.table
-            .name(id)
-            .map(str::to_string)
-            .unwrap_or_else(|| id.to_string())
+            .label(id)
+            .cloned()
+            .unwrap_or_else(|| id.to_string().into())
     }
 
     /// Privileged: invalidates the proxy permanently. After this returns,
@@ -1133,7 +1135,7 @@ mod tests {
         let snap = journal.snapshot();
         assert!(matches!(
             &snap[0].event,
-            Event::MeterCharge { method, amount: 3, .. } if method == "get"
+            Event::MeterCharge { method, amount: 3, .. } if &**method == "get"
         ));
     }
 

@@ -45,11 +45,13 @@ impl std::fmt::Display for MethodId {
 /// between method names and dense [`MethodId`]s, built once per resource.
 ///
 /// `id()` (name → id) is the bind-time direction; `name()` (id → name) is
-/// an array index, so even cold-path reverse lookups never allocate.
+/// an array index, so even cold-path reverse lookups never allocate. Each
+/// name is interned once as an `Arc<str>`, so journal records that carry
+/// a method name ([`MethodTable::label`]) share it instead of copying it.
 #[derive(Debug, Default)]
 pub struct MethodTable {
-    names: Vec<String>,
-    index: HashMap<String, u16>,
+    names: Vec<Arc<str>>,
+    index: HashMap<Arc<str>, u16>,
 }
 
 impl MethodTable {
@@ -62,12 +64,12 @@ impl MethodTable {
     {
         let mut table = MethodTable::default();
         for name in names {
-            let name = name.into();
+            let name: Arc<str> = name.into().into();
             if table.index.contains_key(&name) {
                 continue;
             }
             let id = u16::try_from(table.names.len()).expect("method table overflow");
-            table.index.insert(name.clone(), id);
+            table.index.insert(Arc::clone(&name), id);
             table.names.push(name);
         }
         Arc::new(table)
@@ -85,7 +87,13 @@ impl MethodTable {
 
     /// Resolves an id back to its name (an array index — no allocation).
     pub fn name(&self, id: MethodId) -> Option<&str> {
-        self.names.get(id.0 as usize).map(String::as_str)
+        self.names.get(id.0 as usize).map(|n| &**n)
+    }
+
+    /// The interned name of `id`, shared: cloning it bumps a reference
+    /// count.
+    pub fn label(&self, id: MethodId) -> Option<&Arc<str>> {
+        self.names.get(id.0 as usize)
     }
 
     /// Number of interned methods.
@@ -103,7 +111,7 @@ impl MethodTable {
         self.names
             .iter()
             .enumerate()
-            .map(|(i, n)| (MethodId(i as u16), n.as_str()))
+            .map(|(i, n)| (MethodId(i as u16), &**n))
     }
 }
 

@@ -343,8 +343,9 @@ pub enum Event {
         resource: Urn,
         /// The paying domain.
         holder: DomainId,
-        /// Method name (resolved from the interned id at emission).
-        method: String,
+        /// Method name: the resource's interned label, shared rather
+        /// than copied into every charge.
+        method: Arc<str>,
         /// Tariff units charged for this call.
         amount: u64,
     },
@@ -460,7 +461,8 @@ pub enum Event {
         agent: Urn,
         /// Kind-specific detail (resource + method + outcome for an
         /// access, destination for a transfer, attempt for a retry…).
-        detail: String,
+        /// Shared, so repeated accesses journal one detail allocation.
+        detail: Arc<str>,
         /// Virtual time the spanned work started.
         start_ns: u64,
         /// Duration. Virtual ns for spans that cross the network

@@ -18,6 +18,8 @@
 //! verify-or-reject semantics against the simulated adversaries, with the
 //! honest-path behaviour (and relative costs) of public-key signatures.
 
+use std::cell::Cell;
+
 use serde::{Deserialize, Serialize};
 
 use crate::modmath::{add_mod, mul_mod, pow_mod};
@@ -149,8 +151,20 @@ pub fn sign(sk: &SecretKey, msg: &[u8], rng: &mut DetRng) -> Signature {
     }
 }
 
+thread_local! {
+    static CHECKS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many times [`verify`] has run on the calling thread: the
+/// deterministic cost unit of credential and certificate validation,
+/// which a caller reads before and after an operation.
+pub fn checks_on_this_thread() -> u64 {
+    CHECKS.with(Cell::get)
+}
+
 /// Verifies `sig` over `msg` under `pk`.
 pub fn verify(pk: &PublicKey, msg: &[u8], sig: &Signature) -> Result<(), SignatureError> {
+    CHECKS.with(|c| c.set(c.get() + 1));
     if !valid_public_key(pk) {
         return Err(SignatureError::BadKey);
     }

@@ -12,6 +12,7 @@
 
 use std::fmt;
 use std::str::FromStr;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -88,11 +89,30 @@ impl fmt::Display for NameKind {
 /// Instances are canonical by construction — parsing and the builder
 /// constructors reject anything outside the grammar, so two equal names
 /// always have identical text forms.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct Urn {
+///
+/// A name is an immutable shared handle: cloning one bumps a reference
+/// count and never copies its text. Names are cloned into every journal
+/// record, proxy and message, so this keeps the per-access path free of
+/// heap traffic. Equality, ordering and hashing follow the components in
+/// the order authority, kind, path.
+#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+pub struct Urn(Arc<Parts>);
+
+#[derive(PartialEq, Eq, Hash, PartialOrd, Ord)]
+struct Parts {
     authority: String,
     kind: NameKind,
     path: Vec<String>,
+}
+
+impl fmt::Debug for Urn {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Urn")
+            .field("authority", &self.0.authority)
+            .field("kind", &self.0.kind)
+            .field("path", &self.0.path)
+            .finish()
+    }
 }
 
 impl Urn {
@@ -115,11 +135,7 @@ impl Urn {
         if path.is_empty() {
             return Err(NameError::EmptyPath);
         }
-        Ok(Urn {
-            authority: authority.to_string(),
-            kind,
-            path,
-        })
+        Ok(Urn::from_parts(authority, kind, path))
     }
 
     /// Convenience constructor for [`NameKind::Agent`] names.
@@ -164,22 +180,22 @@ impl Urn {
 
     /// The registering organization, e.g. `umn.edu`.
     pub fn authority(&self) -> &str {
-        &self.authority
+        &self.0.authority
     }
 
     /// The kind tag.
     pub fn kind(&self) -> NameKind {
-        self.kind
+        self.0.kind
     }
 
     /// Path segments below the kind, always non-empty.
     pub fn path(&self) -> &[String] {
-        &self.path
+        &self.0.path
     }
 
     /// The final path segment — the object's local name.
     pub fn leaf(&self) -> &str {
-        self.path.last().expect("path is never empty")
+        self.path().last().expect("path is never empty")
     }
 
     /// Derives a child name by appending one segment, e.g. naming the
@@ -187,13 +203,9 @@ impl Urn {
     pub fn child<S: AsRef<str>>(&self, segment: S) -> Result<Self, NameError> {
         let s = segment.as_ref();
         validate_segment(s)?;
-        let mut path = self.path.clone();
+        let mut path = self.path().to_vec();
         path.push(s.to_string());
-        Ok(Urn {
-            authority: self.authority.clone(),
-            kind: self.kind,
-            path,
-        })
+        Ok(Urn::from_parts(self.authority(), self.kind(), path))
     }
 
     /// True when `self` names an object inside `ancestor`'s subtree
@@ -201,17 +213,26 @@ impl Urn {
     ///
     /// Used by policies granting rights over whole name subtrees.
     pub fn is_within(&self, ancestor: &Urn) -> bool {
-        self.authority == ancestor.authority
-            && self.kind == ancestor.kind
-            && self.path.len() >= ancestor.path.len()
-            && self.path[..ancestor.path.len()] == ancestor.path[..]
+        let (path, prefix) = (self.path(), ancestor.path());
+        self.authority() == ancestor.authority()
+            && self.kind() == ancestor.kind()
+            && path.len() >= prefix.len()
+            && path[..prefix.len()] == prefix[..]
+    }
+
+    fn from_parts(authority: &str, kind: NameKind, path: Vec<String>) -> Self {
+        Urn(Arc::new(Parts {
+            authority: authority.to_string(),
+            kind,
+            path,
+        }))
     }
 }
 
 impl fmt::Display for Urn {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ajn://{}/{}", self.authority, self.kind)?;
-        for seg in &self.path {
+        write!(f, "ajn://{}/{}", self.authority(), self.kind())?;
+        for seg in self.path() {
             write!(f, "/{seg}")?;
         }
         Ok(())
@@ -236,11 +257,7 @@ impl FromStr for Urn {
         if path.is_empty() {
             return Err(NameError::EmptyPath);
         }
-        Ok(Urn {
-            authority: authority.to_string(),
-            kind,
-            path,
-        })
+        Ok(Urn::from_parts(authority, kind, path))
     }
 }
 
@@ -388,6 +405,24 @@ mod tests {
         assert!(a.is_within(&a));
         assert!(!a.is_within(&r));
         assert!(!a.is_within(&other));
+    }
+
+    #[test]
+    fn debug_prints_the_components() {
+        let urn = Urn::agent("x.org", ["tour", "leg-1"]).unwrap();
+        assert_eq!(
+            format!("{urn:?}"),
+            r#"Urn { authority: "x.org", kind: Agent, path: ["tour", "leg-1"] }"#
+        );
+    }
+
+    #[test]
+    fn clones_share_their_text() {
+        let urn = Urn::resource("x.org", ["db"]).unwrap();
+        let copy = urn.clone();
+        assert_eq!(copy, urn);
+        assert!(std::ptr::eq(copy.authority(), urn.authority()));
+        assert!(std::ptr::eq(copy.path(), urn.path()));
     }
 
     #[test]

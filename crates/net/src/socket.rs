@@ -453,13 +453,29 @@ impl SockInner {
         }
     }
 
-    /// Reports one coalesced write of `frames` frames to the installed
-    /// observer (if any) and the atomic counters.
-    fn record_write_batch(&self, frames: u64) {
+    /// Counts one coalesced write of `frames` frames in the atomic
+    /// counters. Called before the bytes leave, so a receiver holding a
+    /// frame already sees its write counted; a write that then fails
+    /// takes its count back with [`Self::uncount_write_batch`].
+    fn count_write_batch(&self, frames: u64) {
         self.stats.write_syscalls.fetch_add(1, Ordering::Relaxed);
         self.stats
             .frames_coalesced
             .fetch_add(frames, Ordering::Relaxed);
+    }
+
+    /// Withdraws the count of a write that failed (its frames are
+    /// redialled, or counted as dropped).
+    fn uncount_write_batch(&self, frames: u64) {
+        self.stats.write_syscalls.fetch_sub(1, Ordering::Relaxed);
+        self.stats
+            .frames_coalesced
+            .fetch_sub(frames, Ordering::Relaxed);
+    }
+
+    /// Reports one completed coalesced write to the installed observer,
+    /// if any.
+    fn report_write_batch(&self, frames: u64) {
         let hook = self.write_hook.lock().clone();
         if let Some(hook) = hook {
             hook(frames);
@@ -786,12 +802,14 @@ fn writer_loop(inner: Arc<SockInner>, link: Arc<PeerLink>) {
                 c.chan.seal_into(body, &mut out);
                 rest = tail;
             }
+            inner.count_write_batch(pending_frames);
             match c.stream.write_all(&out) {
                 Ok(()) => {
-                    inner.record_write_batch(pending_frames);
+                    inner.report_write_batch(pending_frames);
                     break;
                 }
                 Err(_) => {
+                    inner.uncount_write_batch(pending_frames);
                     // The plaintext batch is still in `pending`: a
                     // redial re-seals it on the fresh channel (sealed
                     // bytes cannot cross sessions).

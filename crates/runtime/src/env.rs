@@ -41,10 +41,11 @@
 //! raise the security exception that kills the invocation, exactly as the
 //! paper's proxies throw.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use ajanta_core::{
-    AccessError, Credentials, DomainId, Requester, ResourceError, ResourceProxy, Rights,
+    AccessError, Credentials, DomainId, MethodId, Requester, ResourceError, ResourceProxy, Rights,
     SpanContext, SpanKind,
 };
 use ajanta_naming::Urn;
@@ -165,6 +166,10 @@ pub struct AgentEnv {
     /// The agent's own code, needed to package children it dispatches.
     module: Option<Arc<ajanta_vm::VerifiedModule>>,
     proxies: Vec<ResourceProxy>,
+    /// Access-span details built so far, by (proxy index, method,
+    /// outcome): every access journals a span, and repeated accesses
+    /// share one detail instead of formatting it per call.
+    access_details: HashMap<(usize, MethodId, &'static str), Arc<str>>,
     pending_go: Option<PendingGo>,
     last_sender: Vec<u8>,
     children: u64,
@@ -172,6 +177,10 @@ pub struct AgentEnv {
     /// Consecutive empty `env.recv` polls since the last delivery — the
     /// idleness signal hibernation keys off.
     mail_misses: u32,
+    /// Set when an explicit wake revived this agent: idle hibernation
+    /// passes it over until mail arrives, so the wake is not undone at
+    /// the next yield (a hibernate request still spills it).
+    held_awake: bool,
     /// This stay's admission span: every bind, access, dispatch, and
     /// report the agent performs here descends from it in the trace.
     ctx: SpanContext,
@@ -201,11 +210,13 @@ impl AgentEnv {
             rights,
             module: None,
             proxies: Vec::new(),
+            access_details: HashMap::new(),
             pending_go: None,
             last_sender: Vec::new(),
             children: 0,
             rng_state,
             mail_misses: 0,
+            held_awake: false,
             ctx,
         }
     }
@@ -228,6 +239,18 @@ impl AgentEnv {
     /// Consecutive empty `env.recv` polls since the last delivered mail.
     pub fn mail_misses(&self) -> u32 {
         self.mail_misses
+    }
+
+    /// Whether an explicit wake still holds this agent awake (see
+    /// [`Self::hold_awake`]).
+    pub(crate) fn held_awake(&self) -> bool {
+        self.held_awake
+    }
+
+    /// Keeps idle hibernation off this agent until its next delivered
+    /// mail.
+    pub(crate) fn hold_awake(&mut self) {
+        self.held_awake = true;
     }
 
     /// The session state that must ride in a hibernation bundle:
@@ -341,10 +364,10 @@ impl HostInterface for AgentEnv {
             }
             "env.invoke" => {
                 let handle = args[0].as_int().expect("verified");
-                let proxy = usize::try_from(handle)
+                let (index, proxy) = usize::try_from(handle)
                     .ok()
                     .and_then(|h| h.checked_sub(1))
-                    .and_then(|h| self.proxies.get(h))
+                    .and_then(|h| self.proxies.get(h).map(|p| (h, p)))
                     .ok_or_else(|| HostError::Failed(format!("bad proxy handle {handle}")))?;
                 // Borrow the method name in place: the VM→proxy hot path
                 // must not allocate per call.
@@ -353,12 +376,18 @@ impl HostInterface for AgentEnv {
                 let mut d = Decoder::new(args[2].as_bytes().expect("verified"));
                 let call_args: Vec<Value> = decode_seq(&mut d)
                     .map_err(|e| HostError::Failed(format!("malformed args: {e}")))?;
+                let id = proxy.method_id(method);
                 let t0 = std::time::Instant::now();
-                let result = proxy.invoke(self.domain, method, &call_args, self.now());
+                let result = match id {
+                    Some(id) => proxy.invoke_id(self.domain, id, &call_args, self.now()),
+                    None => proxy.invoke(self.domain, method, &call_args, self.now()),
+                };
                 // Each access is a child span of the admission; the
                 // detail's three whitespace-separated tokens (resource,
                 // method, outcome) are what `tracectl`'s anomaly scan
                 // parses to spot accesses that postdate a revocation.
+                // Known methods build that text once per proxy and
+                // outcome; an unknown name is formatted where it fails.
                 let outcome = match &result {
                     Ok(_) => "ok",
                     Err(AccessError::Resource(_)) => "app-err",
@@ -369,11 +398,20 @@ impl HostInterface for AgentEnv {
                     span: self.shared.journal.mint_span(),
                     parent: Some(self.ctx.span),
                 };
+                let text = || format!("{} {} {}", proxy.resource_name(), method, outcome);
+                let detail: Arc<str> = match id {
+                    Some(id) => Arc::clone(
+                        self.access_details
+                            .entry((index, id, outcome))
+                            .or_insert_with(|| text().into()),
+                    ),
+                    None => text().into(),
+                };
                 self.shared.emit_span(
                     span,
                     SpanKind::Access,
                     &self.identity,
-                    format!("{} {} {}", proxy.resource_name(), method, outcome),
+                    detail,
                     self.now(),
                     t0.elapsed().as_nanos() as u64,
                 );
@@ -453,6 +491,7 @@ impl HostInterface for AgentEnv {
             "env.recv" => match self.shared.take_mail(&self.identity) {
                 Some((from, data)) => {
                     self.mail_misses = 0;
+                    self.held_awake = false;
                     self.last_sender = from.to_string().into_bytes();
                     val(Value::Bytes(data))
                 }

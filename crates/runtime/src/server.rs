@@ -315,7 +315,9 @@ struct Recovery {
 /// One reliable frame awaiting its delivery ack.
 struct PendingSend {
     dest: Urn,
-    msg: Message,
+    /// Shared with the send in flight: the entry is inserted before the
+    /// frame leaves, so an ack can never arrive ahead of it.
+    msg: Arc<Message>,
     /// Send attempts so far (≥ 1).
     attempt: u32,
     /// Virtual instant the next retry is modeled at.
@@ -463,7 +465,7 @@ impl Shared {
         ctx: SpanContext,
         kind: SpanKind,
         agent: &Urn,
-        detail: String,
+        detail: impl Into<Arc<str>>,
         start_ns: u64,
         dur_ns: u64,
     ) {
@@ -471,7 +473,7 @@ impl Shared {
             ctx,
             kind,
             agent: agent.clone(),
-            detail,
+            detail: detail.into(),
             start_ns,
             dur_ns,
         });
@@ -583,7 +585,7 @@ impl Shared {
             .push_back((from, data));
         self.stats.mail_delivered.fetch_add(1, Ordering::Relaxed);
         if self.bundles.contains(&to) {
-            self.wake_agent(&to);
+            self.wake_agent(&to, false);
         }
         true
     }
@@ -740,7 +742,7 @@ impl Shared {
                 ctx.child(self.journal.mint_span()),
                 SpanKind::Report,
                 &report.agent,
-                "recorded".into(),
+                "recorded",
                 self.clock_now(),
                 0,
             );
@@ -901,17 +903,14 @@ impl Shared {
             }
             return result;
         }
-        // A failed first send (unknown peer, detached endpoint) is just
-        // a lost attempt: the ticker retries it and the dead-stop path
-        // eventually resolves the agent's fate.
-        let _ = self.send_message(dest, &msg);
         let due_ns = {
             let mut rng = self.rng.lock();
             self.clock_now() + self.retry.delay_ns(1, &mut rng)
         };
+        let msg = Arc::new(msg);
         let entry = PendingSend {
             dest: dest.clone(),
-            msg,
+            msg: Arc::clone(&msg),
             attempt: 1,
             due_ns,
             sent_real: Instant::now(),
@@ -923,6 +922,10 @@ impl Shared {
         };
         self.pending_sends.lock().insert((kind, agent, seq), entry);
         self.retry_cv.notify_all();
+        // A failed first send (unknown peer, detached endpoint) is just
+        // a lost attempt: the ticker retries it and the dead-stop path
+        // eventually resolves the agent's fate.
+        let _ = self.send_message(dest, &msg);
         Ok(())
     }
 
@@ -984,17 +987,18 @@ impl Shared {
             waited,
         );
         entry.last_sent_ns = now;
-        let _ = self.send_message(&entry.dest, &entry.msg);
         let delay = {
             let mut rng = self.rng.lock();
             self.retry.delay_ns(entry.attempt, &mut rng)
         };
         entry.due_ns = self.clock_now() + delay;
         entry.sent_real = Instant::now();
+        let (dest, msg) = (entry.dest.clone(), Arc::clone(&entry.msg));
         self.pending_sends.lock().insert((kind, agent, seq), entry);
-        // If the ack raced the re-insert it cleared the old entry only;
-        // harmless — the receiver acks every duplicate copy too, so the
-        // re-sent frame's own ack clears this one.
+        // Re-inserted before the copy leaves, so its ack finds it. An ack
+        // of an earlier copy that lands while the entry was out only
+        // costs this copy: the receiver acks every duplicate too.
+        let _ = self.send_message(&dest, &msg);
     }
 
     /// Retries exhausted. Transfers consult the itinerary: skip the dead
@@ -1061,7 +1065,6 @@ impl Shared {
         // the "dead" stop actually admitted the agent and only its acks
         // were lost, the fallback copy can at worst duplicate-admit at a
         // *different* server, never the same one twice.
-        let _ = self.send_message(&next, &entry.msg);
         let due_ns = {
             let mut rng = self.rng.lock();
             self.clock_now() + self.retry.delay_ns(1, &mut rng)
@@ -1069,8 +1072,9 @@ impl Shared {
         // The span context and first-send baseline carry over: a skip is
         // the *same* transfer leg finding another door, and its eventual
         // RTT should include the time burned on the dead stop.
+        let msg = Arc::clone(&entry.msg);
         let fresh = PendingSend {
-            dest: next,
+            dest: next.clone(),
             msg: entry.msg,
             attempt: 1,
             due_ns,
@@ -1082,6 +1086,7 @@ impl Shared {
             custody: entry.custody,
         };
         self.pending_sends.lock().insert((kind, agent, seq), fresh);
+        let _ = self.send_message(&next, &msg);
     }
 
     /// Appends an [`crate::wal::WalRecord::Admit`] for `bundle` — called
@@ -1116,7 +1121,9 @@ impl Shared {
     /// one concurrent wake wins), re-verifies its credentials, rebuilds
     /// interpreter and environment, and hands a fresh task to the
     /// scheduler. Returns whether a bundle was found and revived.
-    pub(crate) fn wake_agent(self: &Arc<Self>, agent: &Urn) -> bool {
+    /// `explicit` marks an administrative wake (not mail arrival): the
+    /// revived agent is then held awake until its next mail.
+    pub(crate) fn wake_agent(self: &Arc<Self>, agent: &Urn, explicit: bool) -> bool {
         let t0 = Instant::now();
         let Some(bundle) = self.bundles.take(agent) else {
             return false;
@@ -1176,6 +1183,9 @@ impl Shared {
                 );
                 env.set_module(Arc::clone(&verified));
                 env.restore_session(warm.rng_state, warm.children, warm.last_sender);
+                if explicit {
+                    env.hold_awake();
+                }
                 let Some(interp) = Interpreter::import_state(verified, self.vm_limits, warm.interp)
                 else {
                     self.wake_fail(
@@ -1570,10 +1580,12 @@ impl ServerHandle {
     }
 
     /// Explicitly wakes a hibernated agent (the tour-resume wake path;
-    /// mail arrival wakes implicitly). Returns whether a bundle was
-    /// found and revived.
+    /// mail arrival wakes implicitly). The revived agent is not
+    /// hibernated again for idleness before its next mail; a
+    /// [`Self::hibernate`] request still spills it. Returns whether a
+    /// bundle was found and revived.
     pub fn wake(&self, agent: &Urn) -> bool {
-        self.shared.wake_agent(agent)
+        self.shared.wake_agent(agent, true)
     }
 
     /// Asks a resident agent to hibernate at its next safe yield point
@@ -1763,9 +1775,10 @@ impl ControlView {
         self.shared.request_hibernate(agent)
     }
 
-    /// Wakes a hibernated agent. Returns whether a bundle was revived.
+    /// Wakes a hibernated agent and holds it awake until its next mail.
+    /// Returns whether a bundle was revived.
     pub fn wake(&self, agent: &Urn) -> bool {
-        self.shared.wake_agent(agent)
+        self.shared.wake_agent(agent, true)
     }
 
     /// Revokes every live proxy this server issued for `resource`;
@@ -2602,12 +2615,13 @@ impl AgentTask {
             }
             // A control-plane request bypasses the idle-miss threshold
             // (and works even when auto-hibernation is off); otherwise
-            // the agent must be demonstrably idle.
+            // the agent must be demonstrably idle and not held awake by
+            // an explicit wake.
             if !requested {
                 let Some(threshold) = self.shared.hibernate_after_misses else {
                     return false;
                 };
-                if env.mail_misses() < threshold {
+                if env.held_awake() || env.mail_misses() < threshold {
                     return false;
                 }
             }
@@ -2653,7 +2667,7 @@ impl AgentTask {
                 // visible. `take` is atomic, so this self-wake and any
                 // concurrent deliverer's wake revive exactly one copy.
                 if self.shared.has_mail(&self.run_as) {
-                    self.shared.wake_agent(&self.run_as);
+                    self.shared.wake_agent(&self.run_as, false);
                 }
                 true
             }

@@ -128,6 +128,55 @@ fn idle_agent_hibernates_and_wakes_on_mail() {
     world.shutdown();
 }
 
+/// An explicit wake holds the revived agent awake: an idle waiter is
+/// not spilled again at its next yield (its empty polls pass the miss
+/// threshold in microseconds), yet a hibernate request still spills it
+/// and mail still wakes it.
+#[test]
+fn explicit_wake_is_not_undone_by_idle_hibernation() {
+    let mut world = World::builder(2).hibernation(16).build();
+    let mut owner = world.owner("kay");
+    let agent = owner.next_agent_name("waiter");
+    let home = world.server(0).name().clone();
+    let creds = owner.credentials(agent.clone(), home, Rights::all(), u64::MAX);
+    world.server(0).launch(
+        world.server(1).name().clone(),
+        creds,
+        image(MAIL_WAITER, vec![Value::Int(0)], "run"),
+    );
+    let wait_hibernated = |n: usize| {
+        let deadline = std::time::Instant::now() + WAIT;
+        while world.server(1).hibernated_agents() != n && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        world.server(1).hibernated_agents()
+    };
+    assert_eq!(wait_hibernated(1), 1, "idle mail-poller must hibernate");
+
+    assert!(world.server(1).wake(&agent));
+    std::thread::sleep(Duration::from_millis(50));
+    assert_eq!(
+        world.server(1).hibernated_agents(),
+        0,
+        "an explicitly woken agent stays awake until its next mail"
+    );
+
+    assert!(world.server(1).hibernate(&agent));
+    assert_eq!(wait_hibernated(1), 1, "a hibernate request still spills it");
+
+    let from = Urn::agent("users.org", ["kay", "0"]).unwrap();
+    assert!(world
+        .server(1)
+        .deliver_mail(from, agent.clone(), b"wake up!".to_vec()));
+    let reports = world.server(0).wait_reports(1, WAIT);
+    assert_eq!(reports.len(), 1);
+    assert_eq!(reports[0].status, ReportStatus::Completed("8".into()));
+    let journal = world.server(1).journal();
+    assert_eq!(journal.counter(Counter::AgentsHibernated), 2);
+    assert_eq!(journal.counter(Counter::AgentsWoken), 2);
+    world.shutdown();
+}
+
 /// With a WAL enabled, a completed visit leaves the log fully settled:
 /// at least one `Admit` (logged before the admission ack left) and a
 /// matching `Resolve` (logged when the report ack arrived), with

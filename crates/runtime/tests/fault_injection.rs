@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 use ajanta_core::Rights;
 use ajanta_net::LinkFault;
 use ajanta_runtime::itinerary::Itinerary;
-use ajanta_runtime::{Counter, Event, ReportStatus, RetryPolicy, World};
+use ajanta_runtime::{Counter, Event, RejectKind, ReportStatus, RetryPolicy, World};
 use ajanta_vm::{assemble, AgentImage, Value};
 
 /// A touring agent that migrates with `env.go_tour`, so the runtime
@@ -357,5 +357,64 @@ fn disabled_retries_strand_agents_on_a_lossy_link() {
         world.server(0).journal().counter(Counter::AgentsRecovered),
         AGENTS as u64
     );
+    world.shutdown();
+}
+
+/// Every reliable send is tracked before its frame can be acked. On a
+/// lossless link with a 30 s ack grace, a pending entry whose ack raced
+/// ahead of it would sit unresolved for the whole grace and then re-send
+/// a frame the receiver already has. Every entry must instead resolve
+/// within a second of the last report, with no retry and no duplicate.
+#[test]
+fn acks_never_outrun_their_pending_entries() {
+    const AGENTS: usize = 32;
+    let mut world = World::builder(6)
+        .retry(RetryPolicy {
+            ack_grace: Duration::from_secs(30),
+            ..RetryPolicy::default()
+        })
+        .journal_capacity(1 << 16)
+        .build();
+    let mut owner = world.owner("prompt");
+    let home = world.server(0).name().clone();
+    let tour = Itinerary::new((1..=5).map(|i| world.server(i).name().clone()));
+    for _ in 0..AGENTS {
+        let agent = owner.next_agent_name("tourist");
+        let creds = owner.credentials(agent, home.clone(), Rights::all(), u64::MAX);
+        world
+            .server(0)
+            .launch_tour(&tour, creds, tourist_image(&tour));
+    }
+    let reports = wait_distinct(world.server(0), AGENTS, Duration::from_secs(20));
+    assert_eq!(reports.len(), AGENTS, "every agent reports exactly once");
+
+    let deadline = Instant::now() + Duration::from_secs(1);
+    while world.servers.iter().any(|s| s.pending_send_count() > 0) && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    for server in &world.servers {
+        assert_eq!(
+            server.pending_send_count(),
+            0,
+            "{}: a send is still pending 1 s after the last report",
+            server.name()
+        );
+        assert_eq!(server.journal().counter(Counter::TransfersRetried), 0);
+        let duplicates = server
+            .journal()
+            .snapshot()
+            .into_iter()
+            .filter(|r| {
+                matches!(
+                    r.event,
+                    Event::Rejected {
+                        kind: RejectKind::DuplicateHop,
+                        ..
+                    }
+                )
+            })
+            .count();
+        assert_eq!(duplicates, 0, "{}: duplicate frames", server.name());
+    }
     world.shutdown();
 }

@@ -18,7 +18,7 @@ run() {
 run cargo fmt --all --check
 run cargo build --release $OFFLINE
 run cargo test -q $OFFLINE
-run cargo clippy --all-targets $OFFLINE -- -D warnings
+run cargo clippy --workspace --all-targets $OFFLINE -- -D warnings
 
 # Cross-process smoke: three ajantad server processes over Unix-domain
 # sockets, a 32-agent tour at 20% injected loss, bounded by --timeout.
